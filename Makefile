@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-pdes lint lint-fix-check bench serve-smoke chaos cluster-smoke check
+.PHONY: build test race lint lint-fix-check bench serve-smoke chaos cluster-smoke check
 
 build:
 	$(GO) build ./...
@@ -13,11 +13,6 @@ test:
 
 race:
 	$(GO) test -race -short ./internal/core ./internal/sched/... ./internal/fault ./internal/trace ./internal/pq ./internal/replay ./internal/bench ./internal/server ./internal/journal ./internal/cluster
-
-# The PDES executor's LP/channel protocol, hammered repeatedly without
-# -short so the full stress matrix runs under the race detector.
-race-pdes:
-	$(GO) test -race -run 'PDES' -count 2 ./internal/replay
 
 lint:
 	$(GO) vet ./...
@@ -44,4 +39,4 @@ chaos:
 cluster-smoke:
 	sh scripts/serve_smoke.sh cluster
 
-check: lint lint-fix-check build test race race-pdes serve-smoke chaos cluster-smoke
+check: lint lint-fix-check build test race serve-smoke chaos cluster-smoke

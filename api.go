@@ -147,9 +147,7 @@ type CapturedDAG = replay.DAG
 type DAGRecorder = replay.Recorder
 
 // ReplayOptions parameterizes one replay of a captured DAG: worker count,
-// duration model, sampling seed, ready-queue ordering and the executor —
-// Parallelism 0 is the serial greedy list scheduler, >= 1 the
-// partition-invariant PDES executor.
+// duration model, sampling seed, trace label and ready-queue ordering.
 type ReplayOptions = replay.Options
 
 // CaptureDAG attaches a DAG recorder to a runtime. Call before inserting
@@ -162,10 +160,8 @@ func CaptureDAG(rt Runtime, label string) (*DAGRecorder, error) {
 
 // ReplayDAG re-simulates a captured DAG by virtual-time list scheduling —
 // no scheduler, no hazard tracking, no worker goroutines — and returns the
-// resulting trace. Identical inputs produce bit-identical traces. With
-// opts.Parallelism >= 1 the replay runs on the conservative PDES executor
-// across that many logical processes; results are bit-identical for every
-// parallelism value (DESIGN.md §12).
+// resulting trace. Identical inputs produce bit-identical traces, and a
+// 1-worker replay matches direct simulation with the same seed.
 func ReplayDAG(d *CapturedDAG, opts ReplayOptions) (*Trace, error) {
 	return replay.Run(d, opts)
 }

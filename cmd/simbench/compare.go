@@ -3,10 +3,33 @@ package main
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"supersim/internal/bench"
 )
+
+// hostShape is the part of a report that says what it was measured on.
+// A ns/op figure holds only for the core count it was measured at.
+type hostShape struct {
+	CPUs int `json:"cpus"`
+	// GOMAXPROCS is 0 in reports written before it was recorded.
+	GOMAXPROCS int `json:"gomaxprocs"`
+}
+
+func (h hostShape) String() string {
+	procs := "unrecorded"
+	if h.GOMAXPROCS > 0 {
+		procs = strconv.Itoa(h.GOMAXPROCS)
+	}
+	return fmt.Sprintf("cpus=%d gomaxprocs=%s", h.CPUs, procs)
+}
+
+// baseline is a previous report reduced to what the gate reads.
+type baseline struct {
+	host    hostShape
+	nsPerOp map[string]float64
+}
 
 // compareOutcome is the result of gating one run against a baseline
 // file: the per-benchmark comparison block for the JSON report, plus
@@ -23,12 +46,18 @@ type compareOutcome struct {
 	MissingNames []string
 }
 
-// compareAgainstBaseline compares every result against the baseline
-// ns/op map, writing one human-readable line per benchmark to w.
-func compareAgainstBaseline(results []bench.MicroResult, base map[string]float64, check float64, w io.Writer) compareOutcome {
+// compareAgainstBaseline compares every result against the baseline's
+// ns/op, writing one human-readable line per benchmark to w. A baseline
+// measured on a different host shape than run gets one loud warning line
+// first; the gate still applies.
+func compareAgainstBaseline(results []bench.MicroResult, base baseline, run hostShape, check float64, w io.Writer) compareOutcome {
+	if base.host != run {
+		fmt.Fprintf(w, "simbench: WARNING host mismatch: baseline measured at %v, this run at %v; the deltas below compare different hosts\n",
+			base.host, run)
+	}
 	var out compareOutcome
 	for _, r := range results {
-		b, ok := base[r.Name]
+		b, ok := base.nsPerOp[r.Name]
 		if !ok {
 			out.Comparison = append(out.Comparison, comparison{
 				Name: r.Name, CurrentNsPerOp: r.NsPerOp, BaselineMissing: true,

@@ -20,10 +20,11 @@ func TestCompareAgainstBaseline(t *testing.T) {
 		{Name: "Replay8", NsPerOp: 60},  // not in baseline
 		{Name: "SimTask", NsPerOp: 105}, // +5%: within the gate
 	}
-	base := map[string]float64{"Insert": 100, "Churn": 100, "SimTask": 100}
+	host := hostShape{CPUs: 2, GOMAXPROCS: 2}
+	base := baseline{host: host, nsPerOp: map[string]float64{"Insert": 100, "Churn": 100, "SimTask": 100}}
 
 	var buf bytes.Buffer
-	out := compareAgainstBaseline(results, base, 10, &buf)
+	out := compareAgainstBaseline(results, base, host, 10, &buf)
 
 	if out.Regressions != 1 {
 		t.Errorf("Regressions = %d, want 1 (only Insert exceeds the 10%% gate)", out.Regressions)
@@ -47,11 +48,37 @@ func TestCompareAgainstBaseline(t *testing.T) {
 	if got := buf.String(); !strings.Contains(got, "baseline missing") {
 		t.Errorf("per-benchmark output lacks a 'baseline missing' line:\n%s", got)
 	}
+	if got := buf.String(); strings.Contains(got, "host mismatch") {
+		t.Errorf("same-host comparison warned of a host mismatch:\n%s", got)
+	}
+}
+
+// TestCompareAgainstBaselineHostMismatch: a baseline from another host
+// shape (here a 1-core file that predates the gomaxprocs field) gets one
+// warning line naming both shapes, and the gate still counts regressions.
+func TestCompareAgainstBaselineHostMismatch(t *testing.T) {
+	results := []bench.MicroResult{{Name: "Insert", NsPerOp: 120}}
+	base := baseline{host: hostShape{CPUs: 1}, nsPerOp: map[string]float64{"Insert": 100}}
+	var buf bytes.Buffer
+	out := compareAgainstBaseline(results, base, hostShape{CPUs: 2, GOMAXPROCS: 2}, 10, &buf)
+	if out.Regressions != 1 {
+		t.Errorf("Regressions = %d, want 1 (a host mismatch must not disable the gate)", out.Regressions)
+	}
+	got := buf.String()
+	if n := strings.Count(got, "host mismatch"); n != 1 {
+		t.Fatalf("output has %d host mismatch lines, want 1:\n%s", n, got)
+	}
+	for _, want := range []string{"cpus=1 gomaxprocs=unrecorded", "cpus=2 gomaxprocs=2"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("host mismatch line lacks %q:\n%s", want, got)
+		}
+	}
 }
 
 func TestCompareAgainstBaselineGateDisabled(t *testing.T) {
 	results := []bench.MicroResult{{Name: "Insert", NsPerOp: 500}}
-	out := compareAgainstBaseline(results, map[string]float64{"Insert": 100}, 0, &bytes.Buffer{})
+	base := baseline{nsPerOp: map[string]float64{"Insert": 100}}
+	out := compareAgainstBaseline(results, base, hostShape{}, 0, &bytes.Buffer{})
 	if out.Regressions != 0 {
 		t.Errorf("Regressions = %d with check=0, want 0 (gate disabled)", out.Regressions)
 	}
@@ -78,7 +105,10 @@ func TestSummarizeMissing(t *testing.T) {
 func TestLoadBaseline(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "base.json")
-	rep := report{Results: []bench.MicroResult{{Name: "Insert", NsPerOp: 42.5}}}
+	rep := report{
+		hostShape: hostShape{CPUs: 2, GOMAXPROCS: 2},
+		Results:   []bench.MicroResult{{Name: "Insert", NsPerOp: 42.5}},
+	}
 	raw, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +120,11 @@ func TestLoadBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loadBaseline: %v", err)
 	}
-	if base["Insert"] != 42.5 {
-		t.Errorf("base[Insert] = %v, want 42.5", base["Insert"])
+	if base.nsPerOp["Insert"] != 42.5 {
+		t.Errorf("base[Insert] = %v, want 42.5", base.nsPerOp["Insert"])
+	}
+	if base.host != rep.hostShape {
+		t.Errorf("base host = %v, want %v", base.host, rep.hostShape)
 	}
 
 	if _, err := loadBaseline(filepath.Join(dir, "absent.json")); err == nil {

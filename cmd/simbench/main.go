@@ -32,10 +32,10 @@ import (
 )
 
 type report struct {
-	GoVersion string              `json:"go_version"`
-	GOOS      string              `json:"goos"`
-	GOARCH    string              `json:"goarch"`
-	CPUs      int                 `json:"cpus"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	hostShape
 	Benchtime string              `json:"benchtime"`
 	Results   []bench.MicroResult `json:"results"`
 	// Contention is the perf-counter profile summed over the whole run.
@@ -68,7 +68,6 @@ func main() {
 		run          = flag.String("run", "", "regexp selecting benchmarks by name (default: all)")
 		contention   = flag.Bool("contention", true, "collect and emit the contention-counter profile")
 		compare      = flag.String("compare", "", "regression gate: -baseline PATH with -check 10 (unless -check is set)")
-		parallelism  = flag.Int("parallelism", 0, "cap the ReplayParallelN benchmarks at this degree (0 = run all)")
 	)
 	flag.Parse()
 	if *compare != "" {
@@ -99,7 +98,7 @@ func main() {
 	if *contention {
 		counters = &perf.Counters{}
 	}
-	results := bench.RunMicroMax(filter, counters, *parallelism)
+	results := bench.RunMicro(filter, counters)
 	if len(results) == 0 {
 		log.Fatalf("no benchmarks match -run %q", *run)
 	}
@@ -107,7 +106,7 @@ func main() {
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
+		hostShape: hostShape{CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
 		Benchtime: *benchtime,
 		Results:   results,
 	}
@@ -122,7 +121,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("baseline: %v", err)
 		}
-		outcome = compareAgainstBaseline(results, base, *check, os.Stderr)
+		outcome = compareAgainstBaseline(results, base, rep.hostShape, *check, os.Stderr)
 		rep.Comparison = outcome.Comparison
 	}
 	for _, r := range results {
@@ -146,19 +145,20 @@ func main() {
 	}
 }
 
-// loadBaseline reads a previous simbench report and indexes ns/op by name.
-func loadBaseline(path string) (map[string]float64, error) {
+// loadBaseline reads a previous simbench report: the host it was
+// measured on and its ns/op indexed by name.
+func loadBaseline(path string) (baseline, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return baseline{}, err
 	}
 	var rep report
 	if err := json.Unmarshal(raw, &rep); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
+		return baseline{}, fmt.Errorf("parse %s: %w", path, err)
 	}
-	out := make(map[string]float64, len(rep.Results))
+	out := baseline{host: rep.hostShape, nsPerOp: make(map[string]float64, len(rep.Results))}
 	for _, r := range rep.Results {
-		out[r.Name] = r.NsPerOp
+		out.nsPerOp[r.Name] = r.NsPerOp
 	}
 	return out, nil
 }

@@ -1,6 +1,6 @@
 // Command simlint runs the project's invariant analyzers (vclock,
-// lockorder, guarded, wakeup, detrand, chanproto, durable, hotalloc,
-// detmap) over the given packages — a multichecker in the style of
+// lockorder, guarded, wakeup, detrand, durable, hotalloc, detmap) over
+// the given packages — a multichecker in the style of
 // golang.org/x/tools/go/analysis, built on the dependency-free framework
 // in internal/analysis.
 //

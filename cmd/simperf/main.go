@@ -32,7 +32,6 @@ func main() {
 		nb        = flag.Int("nb", 200, "tile size (paper: 200)")
 		maxNT     = flag.Int("maxnt", 8, "largest matrix size in tiles")
 		workers   = flag.Int("workers", 8, "virtual cores (paper: 48)")
-		par       = flag.Int("parallelism", 0, "replay executor: 0 serial greedy, >=1 PDES logical processes per replica")
 		seed      = flag.Uint64("seed", 42, "workload seed")
 	)
 	flag.Parse()
@@ -47,7 +46,7 @@ func main() {
 	}
 	for _, sc := range schedulers {
 		for _, alg := range algorithms {
-			res, err := bench.PerfSweep(sc, alg, *nb, *maxNT, *workers, *par, *seed)
+			res, err := bench.PerfSweep(sc, alg, *nb, *maxNT, *workers, *seed)
 			if err != nil {
 				log.Fatal(err)
 			}

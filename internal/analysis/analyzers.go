@@ -10,7 +10,6 @@ func DefaultAnalyzers() []*Analyzer {
 		NewGuarded(),
 		NewWakeup(cfg),
 		NewDetRand(),
-		NewChanProto(DefaultChanProtoRoots),
 		NewDurable(DefaultDurableScope),
 		NewHotAlloc(),
 		NewDetMap(DefaultDetMapSinks),

@@ -7,26 +7,6 @@ import (
 	"supersim/internal/analysis/analysistest"
 )
 
-func TestChanProtoBadFixture(t *testing.T) {
-	a := analysis.NewChanProto(analysis.DefaultChanProtoRoots)
-	analysistest.Run(t, a, "testdata/src/chanproto/bad", "supersim/internal/replay/chanfix")
-}
-
-func TestChanProtoGoodFixture(t *testing.T) {
-	a := analysis.NewChanProto(analysis.DefaultChanProtoRoots)
-	analysistest.Run(t, a, "testdata/src/chanproto/good", "supersim/internal/replay/chanfix")
-}
-
-// TestChanProtoUnreachablePackage checks the audit is scoped: the same
-// protocol violations are legal outside the PDES-reachable region.
-func TestChanProtoUnreachablePackage(t *testing.T) {
-	a := analysis.NewChanProto(analysis.DefaultChanProtoRoots)
-	diags := analysistest.Diagnostics(t, a, "testdata/src/chanproto/bad", "example.com/elsewhere")
-	if len(diags) != 0 {
-		t.Fatalf("chanproto fired outside the PDES region: %v", diags)
-	}
-}
-
 func TestDurableBadFixture(t *testing.T) {
 	a := analysis.NewDurable(analysis.DefaultDurableScope)
 	analysistest.Run(t, a, "testdata/src/durable/bad", "supersim/internal/server/durafix")

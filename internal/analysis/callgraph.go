@@ -14,8 +14,8 @@ import (
 // alone. Analyzers stay per-package (diagnostics, allows and fixtures
 // keep working unchanged) but consult the Program to reason across
 // function and package boundaries: vclock and lockorder become
-// transitive, and chanproto/durable/hotalloc/detmap are built directly
-// on reachability and summary facts.
+// transitive, and durable/hotalloc/detmap are built directly on
+// reachability and summary facts.
 //
 // Resolution is static: a call edge exists only where the callee is a
 // known *types.Func (direct calls, method values, package-qualified
@@ -364,33 +364,6 @@ func (p *Program) LockSummary() map[*types.Func]map[LockKey]bool {
 	}
 	p.lockSum = sum
 	return sum
-}
-
-// Reachable computes the set of module-local functions statically
-// reachable from any declaration in a package matching the given path
-// prefixes (the roots themselves included).
-func (p *Program) Reachable(rootPrefixes []string) map[*types.Func]bool {
-	reach := make(map[*types.Func]bool)
-	var frontier []*types.Func
-	for fn, fi := range p.funcs {
-		if pkgPathMatches(fi.Pkg.PkgPath, rootPrefixes) {
-			reach[fn] = true
-			frontier = append(frontier, fn)
-		}
-	}
-	for len(frontier) > 0 {
-		fn := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, cs := range p.funcs[fn].Callees {
-			c := cs.Callee
-			if p.funcs[c] == nil || reach[c] {
-				continue
-			}
-			reach[c] = true
-			frontier = append(frontier, c)
-		}
-	}
-	return reach
 }
 
 // ModuleLocal reports whether fn is declared in one of the program's

@@ -44,49 +44,6 @@ const microWindow = 4096
 // nil) is attached to every engine and simulator in the suite, so a run
 // accumulates the contention profile alongside the timings.
 func MicroSuite(counters *perf.Counters) []MicroBench {
-	return MicroSuiteMax(counters, 0)
-}
-
-// MicroSuiteMax is MicroSuite with the ReplayParallelN entries capped:
-// maxParallel 0 keeps the whole suite, otherwise entries with N >
-// maxParallel are dropped. CI runs the suite at -parallelism 1 and 4 so
-// both the serial executor and the parallel speedup are gated without
-// oversubscribing small runners.
-func MicroSuiteMax(counters *perf.Counters, maxParallel int) []MicroBench {
-	suite := microSuite(counters)
-	if maxParallel <= 0 {
-		return suite
-	}
-	out := suite[:0]
-	for _, mb := range suite {
-		if p, ok := replayParallelDegree(mb.Name); ok && p > maxParallel {
-			continue
-		}
-		out = append(out, mb)
-	}
-	return out
-}
-
-// replayParallelDegree extracts N from a "ReplayParallelN" or
-// "ReplayArenaParallelN" name.
-func replayParallelDegree(name string) (int, bool) {
-	for _, prefix := range []string{"ReplayParallel", "ReplayArenaParallel"} {
-		if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
-			continue
-		}
-		n := 0
-		for _, c := range name[len(prefix):] {
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			n = n*10 + int(c-'0')
-		}
-		return n, true
-	}
-	return 0, false
-}
-
-func microSuite(counters *perf.Counters) []MicroBench {
 	return []MicroBench{
 		{Name: "InsertIndependentTasks", Bench: func(b *testing.B) {
 			benchEngineInsert(b, counters, func(i int) *sched.Task {
@@ -199,45 +156,7 @@ func microSuite(counters *perf.Counters) []MicroBench {
 				}
 			}
 		}},
-		{Name: "ReplayLargeSerial", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 0)
-		}},
-		{Name: "ReplayParallel1", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 1)
-		}},
-		{Name: "ReplayParallel2", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 2)
-		}},
-		{Name: "ReplayParallel4", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 4)
-		}},
-		{Name: "ReplayParallel8", Bench: func(b *testing.B) {
-			benchLargeReplay(b, 8)
-		}},
-		{Name: "ReplayArenaParallel4", Bench: func(b *testing.B) {
-			// The 113k-task PDES replay driven from the arena directly.
-			dag, err := largeReplay()
-			if err != nil {
-				b.Fatal(err)
-			}
-			arena, err := dag.Arena()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := replay.RunArena(arena, replay.Options{
-					Workers:          largeReplaySpec.Workers,
-					Model:            replayJitter{},
-					Seed:             uint64(i) + 1,
-					IgnorePriorities: true,
-					Parallelism:      4,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		{Name: "ReplayLargeSerial", Bench: benchLargeReplay},
 		{Name: "DecodeLoad113k", Bench: func(b *testing.B) {
 			// Zero-copy adoption of the 113k-task .dag frame: full hostile-
 			// input validation plus column aliasing, the fixed cost a disk
@@ -262,10 +181,10 @@ func microSuite(counters *perf.Counters) []MicroBench {
 	}
 }
 
-// largeReplaySpec sizes the ReplayLargeSerial/ReplayParallelN workload: a
-// >100k-task Cholesky DAG (NT=85 → 113k tasks) at 8 virtual workers, the
-// scale where the PDES executor is meant to win. The capture runs once
-// per process and is shared by every benchmark in the group.
+// largeReplaySpec sizes the ReplayLargeSerial/DecodeLoad113k workload: a
+// >100k-task Cholesky DAG (NT=85 → 113k tasks) at 8 virtual workers. The
+// capture runs once per process and is shared by every benchmark in the
+// group.
 var largeReplaySpec = Spec{
 	Algorithm: "cholesky", Scheduler: "ompss",
 	NT: 85, NB: 8, Workers: 8, Seed: 1,
@@ -285,12 +204,7 @@ func largeReplay() (*replay.DAG, error) {
 }
 
 // benchLargeReplay measures one replay of the large DAG per op.
-// parallelism 0 is the serial greedy executor (the pre-PDES baseline
-// path); 1 is the PDES schedule executed serially; >= 2 runs the
-// LP channel protocol. ReplayParallelN vs ReplayLargeSerial is the
-// ISSUE's speedup gate; ReplayParallelN vs ReplayParallel1 isolates the
-// parallel-execution speedup at identical semantics.
-func benchLargeReplay(b *testing.B, parallelism int) {
+func benchLargeReplay(b *testing.B) {
 	dag, err := largeReplay()
 	if err != nil {
 		b.Fatal(err)
@@ -303,7 +217,6 @@ func benchLargeReplay(b *testing.B, parallelism int) {
 			Model:            replayJitter{},
 			Seed:             uint64(i) + 1,
 			IgnorePriorities: true,
-			Parallelism:      parallelism,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -367,14 +280,8 @@ func benchSimulatedChurn(b *testing.B, workers int, counters *perf.Counters, arg
 // follow the standard -test.benchtime setting (callers can adjust it via
 // flag.Set after testing.Init).
 func RunMicro(filter *regexp.Regexp, counters *perf.Counters) []MicroResult {
-	return RunMicroMax(filter, counters, 0)
-}
-
-// RunMicroMax is RunMicro over MicroSuiteMax: maxParallel > 0 drops the
-// ReplayParallelN entries above that degree before running.
-func RunMicroMax(filter *regexp.Regexp, counters *perf.Counters, maxParallel int) []MicroResult {
 	var out []MicroResult
-	for _, mb := range MicroSuiteMax(counters, maxParallel) {
+	for _, mb := range MicroSuite(counters) {
 		if filter != nil && !filter.MatchString(mb.Name) {
 			continue
 		}

@@ -96,12 +96,6 @@ type SweepOptions struct {
 	Model core.DurationModel
 	// Seed is the base of the per-replica seed derivation.
 	Seed uint64
-	// Parallelism is passed to replay.Options.Parallelism: 0 replays each
-	// replica with the serial greedy executor; >= 1 uses the PDES executor,
-	// whose results are partition-count invariant (but a different — static
-	// — schedule than the greedy one, so 0 and >= 1 sweeps are not
-	// comparable to each other).
-	Parallelism int
 	// RepOffset and RepStride slice the replica set for multi-node
 	// fan-out: with RepStride = W > 1, this run replays only the replicas
 	// rep in [0, Reps) with rep % W == RepOffset, leaving the other
@@ -256,7 +250,6 @@ func SweepParallel(scheduler, algorithm string, nb, maxNT, workers int, opt Swee
 					Model:            opt.Model,
 					Seed:             ReplicaSeed(opt.Seed, points[p].NT, rep),
 					IgnorePriorities: fifo,
-					Parallelism:      opt.Parallelism,
 				})
 				if err != nil {
 					errs[shard] = fmt.Errorf("bench: replay nt=%d replica %d: %w", points[p].NT, rep, err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -519,6 +520,32 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 	if m.Live != 2 {
 		t.Fatalf("live = %d, want 2", m.Live)
+	}
+}
+
+// TestCoordinatorRejectsParallelism: the coordinator validates with the
+// same rules as simd, so the removed parallelism field is a 400 before
+// anything is journaled or dispatched.
+func TestCoordinatorRejectsParallelism(t *testing.T) {
+	c, hs := newTestCoordinator(t, "")
+	resp, err := http.Post(hs.URL+"/jobs", "application/json",
+		strings.NewReader(`{"algorithm": "cholesky", "nt": 4, "parallelism": 2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr apiError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatalf("decoding error body: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, "DESIGN.md §12") {
+		t.Fatalf("status=%d error=%q, want 400 naming the removal", resp.StatusCode, apiErr.Error)
+	}
+	c.mu.Lock()
+	n := len(c.dispatches)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("rejected spec created %d dispatches", n)
 	}
 }
 

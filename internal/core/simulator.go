@@ -86,6 +86,13 @@ type quiescenceParker interface {
 	QuiescentWait() bool
 }
 
+// virtualTimer is implemented by runtimes (the shared sched.Engine) that
+// can defer dispatch while the master streams insertions, so a stream of
+// insertions takes no virtual time. NewSimulator switches it on.
+type virtualTimer interface {
+	UseVirtualTime()
+}
+
 // quiescenceKicker is the abort-side counterpart: it wakes every waiter
 // parked in QuiescentWait so a simulator abort cannot strand a front task
 // inside the runtime.
@@ -96,7 +103,13 @@ type quiescenceKicker interface {
 // queueEntry is one in-flight simulated task in the Task Execution Queue.
 type queueEntry struct {
 	end float64
-	seq uint64
+	// order breaks ties between equal completion times: the task's
+	// position in the runtime's dispatch order (sched.Task.DispatchOrder),
+	// which does not depend on the order the host happened to run the
+	// tasks' Execute calls in. seq, the arrival order, is the last resort
+	// and the entry's identity.
+	order uint64
+	seq   uint64
 	// wake is this entry's private wakeup: buffered (capacity 1) and
 	// signaled at most once per parking by the task that pops ahead of it
 	// (front handoff) or by Abort. Only the entry's own task receives.
@@ -106,6 +119,9 @@ type queueEntry struct {
 func entryLess(a, b queueEntry) bool {
 	if a.end != b.end {
 		return a.end < b.end
+	}
+	if a.order != b.order {
+		return a.order < b.order
 	}
 	return a.seq < b.seq
 }
@@ -242,6 +258,9 @@ func NewSimulator(rt sched.Runtime, label string, opts ...Option) *Simulator {
 	for _, o := range opts {
 		o(s)
 	}
+	if vt, ok := rt.(virtualTimer); ok {
+		vt.UseVirtualTime()
+	}
 	return s
 }
 
@@ -300,7 +319,7 @@ func (s *Simulator) Execute(ctx *sched.Ctx, class string, duration float64) {
 	}
 	start := s.clock
 	end := start + duration
-	me := queueEntry{end: end, seq: s.seq}
+	me := queueEntry{end: end, order: ctx.Task.DispatchOrder(), seq: s.seq}
 	s.seq++
 	if !s.disableQueue {
 		me.wake = getWakeChan()

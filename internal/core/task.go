@@ -133,12 +133,14 @@ func (tk *Tasker) SimGangTask(class string, nthreads int, efficiency float64) sc
 // MeasuredTask returns a task function that executes body for real, times
 // it, and accounts the measured time on the virtual timeline. This is the
 // measured-mode substitute for a real parallel machine; see DESIGN.md.
-// The wall-clock measurement goes through internal/stopwatch, the audited
-// boundary the vclock analyzer recognizes.
+// The body is timed by its thread CPU time (stopwatch.StartCPU): the
+// duration it would take on a dedicated core, without the time the host
+// spent running something else. The measurement goes through
+// internal/stopwatch, the audited boundary the vclock analyzer recognizes.
 func MeasuredTask(sim *Simulator, class string, body func(*sched.Ctx)) sched.TaskFunc {
 	return func(ctx *sched.Ctx) {
 		computeTokens <- struct{}{}
-		elapsed := stopwatch.Start()
+		elapsed := stopwatch.StartCPU()
 		body(ctx)
 		dt := elapsed()
 		<-computeTokens

@@ -24,13 +24,12 @@ import (
 // locks, and Snapshot reads a consistent-enough point-in-time view for
 // reporting. The zero value is ready to use.
 type Counters struct {
-	// TargetedWakeups counts single-worker signals issued when a task
-	// became ready (the replacement for the engine's old thundering-herd
-	// broadcast).
+	// TargetedWakeups counts single-worker signals issued when the
+	// engine's dispatcher handed a parked worker a task or a gang rank.
 	TargetedWakeups atomic.Uint64
-	// CollectiveWakeups counts wake-everyone events (gang formation,
-	// barrier entry, shutdown, abort, dead-core remaps) — the paths where
-	// a broadcast is still the correct tool.
+	// CollectiveWakeups counts wake-everyone events (shutdown, abort, the
+	// final drain) — the paths where a broadcast is still the correct
+	// tool.
 	CollectiveWakeups atomic.Uint64
 	// SpuriousWakeups counts times a parked worker was woken and found no
 	// claimable work. Persistent growth means wakeups are mistargeted.

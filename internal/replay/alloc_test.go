@@ -39,32 +39,3 @@ func TestSerialRunAllocs(t *testing.T) {
 			a, serialRunAllocCeiling, res.MemString())
 	}
 }
-
-// pdesRunAllocCeiling bounds the serial-execution PDES path (Parallelism
-// >= 1 below the crossover) at the same arena floor: the plan is pooled
-// and aliases the arena's precomputed schedule, so per op it is again
-// exactly the returned trace.
-const pdesRunAllocCeiling = 2
-
-func TestPDESSerialPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	if testing.Short() {
-		t.Skip("allocation calibration is slow")
-	}
-	dag, _ := captureRun(t, core.FixedModel(1e-3), 7)
-	var model core.DurationModel = jitterModel{base: 1e-3}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(dag, Options{Workers: 4, Model: model, Seed: uint64(i), Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if a := res.AllocsPerOp(); a > pdesRunAllocCeiling {
-		t.Errorf("PDES serial-path replay.Run allocates %d objects/op, ceiling %d (%s)",
-			a, pdesRunAllocCeiling, res.MemString())
-	}
-}

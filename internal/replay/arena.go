@@ -1,5 +1,5 @@
 // The struct-of-arrays arena: a captured DAG compiled into flat, dense,
-// cache-friendly columns that both replay executors iterate over.
+// cache-friendly columns that the replay executor iterates over.
 //
 // A *DAG is the capture-side representation — pointer-rich []Task slices
 // that are convenient to record and validate but expensive to walk: every
@@ -13,11 +13,10 @@
 // slice arithmetic with no per-task pointers at all.
 //
 // The arena also precomputes everything about a DAG that every run used
-// to recompute: the successor CSR, the PDES static rank/order permutation
-// (pdes.go), the default trace label, and whether every task carries a
-// captured duration. A run therefore touches only pooled per-run scratch
-// plus the returned trace — the alloc-ceiling tests pin the serial
-// executor at ≤ 2 allocations per run.
+// to recompute: the successor CSR, the default trace label, and whether
+// every task carries a captured duration. A run therefore touches only
+// pooled per-run scratch plus the returned trace — the alloc-ceiling test
+// pins the executor at ≤ 2 allocations per run.
 //
 // Arenas are immutable once built and safe for concurrent replay, like
 // the DAGs they compile. DAG.Arena memoizes the compilation, so the DAG's
@@ -107,10 +106,8 @@ type Arena struct {
 	// Derived at build/load time, never serialized.
 	succOff  []int32 // CSR successors (ascending id within each region)
 	succList []int32
-	rank     []int32 // PDES static rank (pdes.go): task -> rank
-	order    []int32 // rank -> task
-	hasDur   bool    // every task carries a captured duration
-	buf      []byte  // encoded bytes this arena aliases (Load), else nil
+	hasDur   bool   // every task carries a captured duration
+	buf      []byte // encoded bytes this arena aliases (Load), else nil
 }
 
 // NumTasks returns the task count.
@@ -155,7 +152,7 @@ func (it *internTable) id(s string) int32 {
 }
 
 // BuildArena compiles a captured DAG into its struct-of-arrays form. It
-// performs the validation both executors relied on — dense non-gang
+// performs the validation the executor relies on — dense non-gang
 // CPU-runnable tasks, predecessors strictly before successors — once, so
 // replays of the arena skip per-task checks entirely.
 func BuildArena(d *DAG) (*Arena, error) {
@@ -187,10 +184,10 @@ func BuildArena(d *DAG) (*Arena, error) {
 		n:           n,
 	}
 	// One int32 slab for every index column, including the derived
-	// successor CSR and rank permutation; one byte slab for the uint8
-	// columns. Sub-slicing keeps each arena to a handful of allocations
-	// and each column walk a contiguous scan.
-	i32 := make([]int32, 7*n+2*(n+1)+2*edges+feet+(n+1)+edges)
+	// successor CSR; one byte slab for the uint8 columns. Sub-slicing
+	// keeps each arena to a handful of allocations and each column walk a
+	// contiguous scan.
+	i32 := make([]int32, 5*n+2*(n+1)+2*edges+feet+(n+1))
 	next := func(ln int) []int32 {
 		s := i32[:ln:ln]
 		i32 = i32[ln:]
@@ -207,8 +204,6 @@ func BuildArena(d *DAG) (*Arena, error) {
 	a.fpHandle = next(feet)
 	a.succOff = next(n + 1)
 	a.succList = next(edges)
-	a.rank = next(n)
-	a.order = next(n)
 	u8 := make([]uint8, n+edges+feet)
 	a.where = u8[:n:n]
 	a.depKind = u8[n : n+edges : n+edges]
@@ -260,15 +255,11 @@ func BuildArena(d *DAG) (*Arena, error) {
 
 // deriveStatic computes the redundant-but-hot views: the successor CSR
 // (filled in ascending task order, reproducing the engine's insertion
-// release order), the PDES static rank — the capture ready order when it
-// is a valid topological permutation, else task id — and the
-// has-durations flag. succOff/succList/rank/order must be pre-sized.
+// release order) and the has-durations flag. succOff/succList must be
+// pre-sized.
 func (a *Arena) deriveStatic() {
 	n := a.n
 	scratch := make([]int32, n)
-	for i := 0; i < n; i++ {
-		scratch[i] = 0
-	}
 	for _, p := range a.depPred {
 		scratch[p]++
 	}
@@ -285,42 +276,6 @@ func (a *Arena) deriveStatic() {
 			a.succList[scratch[p]] = int32(i)
 			scratch[p]++
 		}
-	}
-
-	// Rank: ready order when it is a duplicate-free in-range topological
-	// permutation (scratch doubles as the duplicate check), else id.
-	usable := true
-	for i := 0; i < n; i++ {
-		scratch[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		r := a.ready[i]
-		if r < 0 || int(r) >= n || scratch[r] >= 0 {
-			usable = false
-			break
-		}
-		scratch[r] = int32(i)
-	}
-	if usable {
-		copy(a.rank, a.ready)
-	check:
-		for i := 0; i < n; i++ {
-			ri := a.rank[i]
-			for _, p := range a.depPred[a.depOff[i]:a.depOff[i+1]] {
-				if a.rank[p] >= ri {
-					usable = false
-					break check
-				}
-			}
-		}
-	}
-	if !usable {
-		for i := 0; i < n; i++ {
-			a.rank[i] = int32(i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		a.order[a.rank[i]] = int32(i)
 	}
 
 	a.hasDur = true
@@ -423,15 +378,11 @@ func arenaLabel(a *Arena, opt *Options) string {
 	return a.replayLabel
 }
 
-// RunArena re-simulates a compiled DAG: the serial greedy list scheduler
-// below, or the PDES executor (pdes.go) when Options.Parallelism >= 1.
-// Semantics and trace bits are identical to Run on the source DAG.
+// RunArena re-simulates a compiled DAG with the greedy list scheduler
+// below. Semantics and trace bits are identical to Run on the source DAG.
 func RunArena(a *Arena, opt Options) (*trace.Trace, error) {
 	if a == nil || a.n == 0 {
 		return nil, fmt.Errorf("replay: empty DAG")
-	}
-	if opt.Parallelism >= 1 {
-		return runPDES(a, &opt)
 	}
 	return runArenaSerial(a, &opt)
 }

@@ -8,17 +8,17 @@ package replay_test
 //     shipped before the arena, kept here verbatim as an independent
 //     implementation;
 //  2. the arena executor behind replay.Run;
-//  3. an encode→decode round trip of the arena (the .dag codec);
+//  3. an encode→decode round trip of the arena (the .dag codec).
 //
-// and, separately, the PDES executor must produce one fingerprint across
-// every partition count AND across the codec round trip. This is the same
-// style of gate that pinned PR 4 (replay vs direct) and PR 7 (PDES
-// partition invariance): representation changes are only allowed to move
-// bytes, never bits of the result.
+// This is the same style of gate that pinned replay against direct
+// simulation: representation changes are only allowed to move bytes,
+// never bits of the result. (External test package because bench
+// imports replay.)
 
 import (
 	"testing"
 
+	"supersim/internal/bench"
 	"supersim/internal/core"
 	"supersim/internal/pq"
 	"supersim/internal/replay"
@@ -26,6 +26,35 @@ import (
 	"supersim/internal/sched"
 	"supersim/internal/trace"
 )
+
+// jitter is a stochastic model whose every draw consumes the stream, so
+// any divergence in sampling order changes the fingerprint.
+type jitter struct{ base float64 }
+
+func (m jitter) Duration(_ string, _ sched.WorkerKind, src *rng.Source) float64 {
+	return m.base * (0.5 + src.Float64())
+}
+
+// captureKernel captures one algorithm's DAG at a size of about a
+// thousand tasks or more, and synthesizes per-task captured durations
+// (CaptureSpec runs no-op bodies, so it records none).
+func captureKernel(t *testing.T, algorithm string, nt int) *replay.DAG {
+	t.Helper()
+	dag, err := bench.CaptureSpec(bench.Spec{
+		Algorithm: algorithm, Scheduler: "quark",
+		NT: nt, NB: 8, Workers: 8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dag.Tasks) < 1100 {
+		t.Fatalf("%s nt=%d captured only %d tasks; too small for the gate", algorithm, nt, len(dag.Tasks))
+	}
+	for i := range dag.Tasks {
+		dag.Tasks[i].Duration = float64(i%11+1) * 1e-4
+	}
+	return dag
+}
 
 // refSeedMix mirrors replay's per-worker stream derivation.
 const refSeedMix = 0x9e3779b97f4a7c15
@@ -224,7 +253,7 @@ func TestArenaRepresentationGate(t *testing.T) {
 		for _, m := range models {
 			opt := replay.Options{Workers: 8, Model: m.model, Seed: 11}
 
-			// Greedy path: pointer reference vs arena vs codec round trip.
+			// Pointer reference vs arena vs codec round trip.
 			want := refRun(t, dag, opt).Fingerprint()
 			viaArena, err := replay.Run(dag, opt)
 			if err != nil {
@@ -239,30 +268,6 @@ func TestArenaRepresentationGate(t *testing.T) {
 			}
 			if got := viaCodec.Fingerprint(); got != want {
 				t.Errorf("%s/%s: encode→decode fingerprint %#x != pointer reference %#x", k.algorithm, m.name, got, want)
-			}
-
-			// PDES path: one fingerprint across every partition count, on
-			// both the built arena and the decoded one.
-			var pdesRef uint64
-			for i, p := range []int{1, 2, 4} {
-				popt := opt
-				popt.Parallelism = p
-				tr, err := replay.Run(dag, popt)
-				if err != nil {
-					t.Fatalf("%s/%s p=%d: %v", k.algorithm, m.name, p, err)
-				}
-				if i == 0 {
-					pdesRef = tr.Fingerprint()
-				} else if got := tr.Fingerprint(); got != pdesRef {
-					t.Errorf("%s/%s: PDES fingerprint at p=%d is %#x, at p=1 %#x", k.algorithm, m.name, p, got, pdesRef)
-				}
-				trDec, err := replay.RunArena(decoded, popt)
-				if err != nil {
-					t.Fatalf("%s/%s p=%d decoded: %v", k.algorithm, m.name, p, err)
-				}
-				if got := trDec.Fingerprint(); got != pdesRef {
-					t.Errorf("%s/%s: decoded PDES fingerprint at p=%d is %#x, want %#x", k.algorithm, m.name, p, got, pdesRef)
-				}
 			}
 		}
 	}

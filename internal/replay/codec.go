@@ -35,9 +35,9 @@
 // the frame start, so Load can alias an 8-aligned byte slice in place
 // (unsafe.Slice over the column regions, unsafe.String over the interned
 // strings) and fall back to a copying decode otherwise. Derived state
-// (successor CSR, PDES ranks) is never encoded; Load recomputes it,
-// which both keeps frames smaller and guarantees the derived views are
-// consistent with the columns whatever the bytes claim.
+// (the successor CSR, the has-durations flag) is never encoded; Load
+// recomputes it, which both keeps frames smaller and guarantees the
+// derived views are consistent with the columns whatever the bytes claim.
 //
 // Every count and offset is validated against the frame length before
 // any sized allocation, so a hostile frame errors without panicking or
@@ -293,14 +293,12 @@ func Load(b []byte) (*Arena, error) {
 		return nil, err
 	}
 
-	// Derived views (successor CSR, PDES ranks, duration flag) are
-	// recomputed, never trusted from the wire.
+	// Derived views (successor CSR, duration flag) are recomputed, never
+	// trusted from the wire.
 	ni := int(n)
-	slab := make([]int32, (ni+1)+int(e)+2*ni)
+	slab := make([]int32, (ni+1)+int(e))
 	a.succOff = slab[: ni+1 : ni+1]
-	a.succList = slab[ni+1 : ni+1+int(e) : ni+1+int(e)]
-	a.rank = slab[ni+1+int(e) : ni+1+int(e)+ni : ni+1+int(e)+ni]
-	a.order = slab[ni+1+int(e)+ni:]
+	a.succList = slab[ni+1:]
 	a.deriveStatic()
 	return a, nil
 }

@@ -14,7 +14,7 @@ import (
 // codecDAGs returns the two DAG shapes the codec tests run through: a real
 // capture (footprints, hazard kinds, dense ready order, observed
 // durations) and a synthetic graph (no footprints, kindless duplicate
-// edges, Ready = -1 so the PDES rank falls back to id).
+// edges, Ready = -1).
 func codecDAGs(t *testing.T) map[string]*DAG {
 	t.Helper()
 	captured, _ := captureRun(t, core.FixedModel(1e-3), 3)
@@ -87,20 +87,18 @@ func TestCodecRoundTrip(t *testing.T) {
 			if m.model == nil && !a.HasDurations() {
 				continue
 			}
-			for _, parallelism := range []int{0, 2} {
-				opt := Options{Workers: 3, Model: m.model, Seed: 17, Parallelism: parallelism}
-				want, err := RunArena(a, opt)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, m.name, err)
-				}
-				got, err := RunArena(dec, opt)
-				if err != nil {
-					t.Fatalf("%s/%s: decoded run: %v", name, m.name, err)
-				}
-				if got.Fingerprint() != want.Fingerprint() {
-					t.Errorf("%s/%s p=%d: decoded fingerprint %#x != original %#x",
-						name, m.name, parallelism, got.Fingerprint(), want.Fingerprint())
-				}
+			opt := Options{Workers: 3, Model: m.model, Seed: 17}
+			want, err := RunArena(a, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, m.name, err)
+			}
+			got, err := RunArena(dec, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: decoded run: %v", name, m.name, err)
+			}
+			if got.Fingerprint() != want.Fingerprint() {
+				t.Errorf("%s/%s: decoded fingerprint %#x != original %#x",
+					name, m.name, got.Fingerprint(), want.Fingerprint())
 			}
 		}
 	}

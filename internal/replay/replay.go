@@ -3,9 +3,7 @@
 // cheap part: stochastic re-execution of a fixed task graph. A Recorder
 // (capture.go) records the fully-resolved task DAG from one instrumented
 // scheduler run; Run then re-simulates that DAG under any duration model,
-// worker count and seed via single-goroutine virtual-time list scheduling,
-// or — for large DAGs, with Options.Parallelism — via a conservative
-// multi-goroutine PDES executor (pdes.go).
+// worker count and seed via single-goroutine virtual-time list scheduling.
 //
 // This is the paper's design-space-exploration use case (Section VI-B) made
 // cheap: the DAG of a tile algorithm does not depend on the duration model,
@@ -16,7 +14,7 @@
 // before any later completion advances the clock) because the loop below is
 // exactly that protocol with the scheduler's bookkeeping compiled away; see
 // DESIGN.md §9 for the equivalence argument and its limits (insertion
-// windows, end-time ties) and §12 for the parallel executor.
+// windows, end-time ties).
 package replay
 
 import (
@@ -57,10 +55,9 @@ type Task struct {
 	// tracker's derivation order.
 	Deps []sched.Dep
 	// Ready is the task's position in the capture run's ready order, or -1
-	// if the capture ended before the task became ready. The serial replay
-	// executor re-derives readiness from Deps; the PDES executor uses the
-	// ready order as its static task→lane mapping when it is a valid
-	// topological permutation (pdes.go).
+	// if the capture ended before the task became ready. It is recorded
+	// and encoded for inspection; the replay executor re-derives readiness
+	// from Deps.
 	Ready int
 	// Duration is the observed virtual duration from the capture run's
 	// completion hook, or -1 when the capture ran without a simulator.
@@ -142,11 +139,7 @@ type Options struct {
 	// Workers is the virtual core count; 0 uses the capture run's.
 	Workers int
 	// Model supplies virtual durations. nil replays the capture run's
-	// observed durations (every task must then carry one). With
-	// Parallelism >= 1 the model is sampled from multiple goroutines
-	// (each with its own stream), so it must be safe for concurrent use —
-	// every model in this repository is: they read only fitted parameters
-	// and draw from the per-worker stream they are handed.
+	// observed durations (every task must then carry one).
 	Model core.DurationModel
 	// Seed derives the per-worker sampling streams (same derivation as
 	// core.NewTasker, so a 1-worker replay draws the sample sequence of
@@ -159,19 +152,7 @@ type Options struct {
 	// priority clause, StarPU eager). The default mirrors
 	// sched.PriorityPolicy: priority descending, readiness order as the
 	// tiebreak — which degenerates to FIFO when no task sets a priority.
-	// The PDES executor (Parallelism >= 1) ignores this knob: its static
-	// schedule orders tasks by capture readiness rank (see pdes.go).
 	IgnorePriorities bool
-	// Parallelism selects the executor. 0 (the default) runs the serial
-	// greedy list scheduler above — the path whose 1-worker traces match
-	// direct simulation bit for bit. P >= 1 runs the deterministic PDES
-	// schedule over P logical processes (pdes.go): results are a pure
-	// function of (DAG, Workers, Model, Seed) and bit-identical for every
-	// P, but the schedule is the static-lane PDES schedule, not the
-	// dynamic greedy one, so P >= 1 and P == 0 traces legitimately
-	// differ. DAGs below the crossover threshold execute the PDES
-	// schedule on the calling goroutine (same bits, no goroutines).
-	Parallelism int
 }
 
 // seedMix mirrors core's per-worker stream derivation (rngPool): worker w
@@ -239,15 +220,7 @@ func growInt32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// growFloat64 is growInt32 for float64 slices.
-func growFloat64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// checkTask rejects tasks the replay executors cannot represent.
+// checkTask rejects tasks the replay executor cannot represent.
 func checkTask(i int, t *Task) error {
 	if t.NumThreads > 1 {
 		return fmt.Errorf("replay: task %d (%s) is a gang task (NumThreads=%d); replay supports single-threaded tasks", i, t.Label, t.NumThreads)
@@ -258,9 +231,9 @@ func checkTask(i int, t *Task) error {
 	return nil
 }
 
-// Run re-simulates the captured DAG. With Options.Parallelism unset it is
-// greedy virtual-time list scheduling, the schedule the real engine
-// produces for an unbounded insertion window (see DESIGN.md §9):
+// Run re-simulates the captured DAG by greedy virtual-time list
+// scheduling, the schedule the real engine produces for an unbounded
+// insertion window (see DESIGN.md §9):
 //
 //   - a task becomes ready when all its captured predecessors completed;
 //   - ready tasks are ordered by (priority desc, readiness order) — the
@@ -277,14 +250,9 @@ func checkTask(i int, t *Task) error {
 // tracking, no mutex handoffs. Identical (DAG, Options) inputs produce
 // bit-identical traces.
 //
-// With Options.Parallelism >= 1, Run instead executes the deterministic
-// PDES schedule over that many logical processes — see pdes.go and
-// DESIGN.md §12. Results are bit-identical across all parallelism values
-// but are a different (static-lane) schedule than the greedy default.
-//
 // Run compiles the DAG to its struct-of-arrays arena on first use
-// (memoized — see DAG.Arena) and executes that: the hot loops live in
-// arena.go (serial) and pdes.go (parallel).
+// (memoized — see DAG.Arena) and executes that: the hot loop lives in
+// arena.go.
 func Run(d *DAG, opt Options) (*trace.Trace, error) {
 	if len(d.Tasks) == 0 {
 		return nil, fmt.Errorf("replay: empty DAG")

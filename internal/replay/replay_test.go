@@ -19,6 +19,31 @@ func (m jitterModel) Duration(class string, _ sched.WorkerKind, src *rng.Source)
 	return m.base * (0.5 + src.Float64())
 }
 
+// syntheticDAG builds a random layered-ish DAG directly (no scheduler):
+// task i depends on up to fan random earlier tasks, durations are a
+// deterministic function of the id, and Ready is left at -1. Duplicate
+// predecessors are deliberately possible — the successor CSR and the
+// wait counts must tolerate them.
+func syntheticDAG(n, fan, workers int, seed uint64) *DAG {
+	src := rng.New(seed)
+	d := &DAG{Label: "synthetic", Workers: workers, Handles: 1}
+	d.Tasks = make([]Task, n)
+	for i := range d.Tasks {
+		t := &d.Tasks[i]
+		t.ID = i
+		t.Class = "K"
+		t.Label = "k"
+		t.Ready = -1
+		t.Duration = float64(i%7+1) * 1e-4
+		if i > 0 {
+			for j := src.Intn(fan + 1); j > 0; j-- {
+				t.Deps = append(t.Deps, sched.Dep{Pred: src.Intn(i)})
+			}
+		}
+	}
+	return d
+}
+
 // captureRun runs a small diamond-heavy workload on a 1-worker engine with
 // a priority policy, capturing the DAG (with observed durations) and
 // returning it together with the direct simulation's trace.

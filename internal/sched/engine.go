@@ -50,11 +50,20 @@ const maxRetryBackoff = time.Second
 
 // gang coordinates a multi-threaded task (Section VII extension).
 type gang struct {
-	task   *Task
-	needed int
-	joined int
-	done   int
-	skip   bool // the task is poisoned: members hold but skip the body
+	task    *Task
+	needed  int
+	joined  int
+	done    int
+	skip    bool  // the task is poisoned: members hold but skip the body
+	workers []int // members in rank order; all are freed when rank 0 completes
+}
+
+// assignment is one unit of work the dispatcher handed to a worker: a task,
+// or a rank in a gang.
+type assignment struct {
+	task *Task
+	gang *gang
+	rank int
 }
 
 // ctxPool recycles the per-attempt task contexts: steady-state execution
@@ -69,11 +78,16 @@ var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
 // depends on. The scheduler packages (quark, starpu, ompss) wrap it with
 // their distinctive APIs and policies.
 //
-// Wakeups are targeted: each worker parks on its own condition variable,
-// and a newly ready task wakes at most one parked worker able to claim it
-// (the bound worker for per-worker-queue policies). Collective wakeups
-// remain only where they are semantically required — gang formation,
-// barrier entry, shutdown, abort, dead-core remaps.
+// Dispatch is centralized: whenever a task becomes ready or a worker
+// becomes free, the engine pops for every free worker in worker-index
+// order under its lock and hands each popped task to that worker
+// (dispatchLocked). Which free worker gets which task therefore depends
+// only on the sequence of insertions and virtual-time completions, never
+// on which worker goroutine the host happens to schedule first, so a
+// simulated run's schedule is reproducible on any number of host cores.
+// Each worker parks on its own condition variable and is woken only when
+// it is handed work; collective wakeups remain only where they are
+// semantically required — shutdown, abort, the final drain.
 type Engine struct {
 	cfg  Config
 	self Runtime  // the wrapping runtime exposed in Ctx; defaults to e
@@ -87,10 +101,11 @@ type Engine struct {
 	gangCond   *sync.Cond   // gang fill / drain
 	qCond      *sync.Cond   // quiescence parkers (simulator front tasks)
 
-	parked      []bool // guarded-by: mu — worker currently parked on its workerCond
-	parkedCount int    // guarded-by: mu
-	qGen        uint64 // guarded-by: mu — bumped on quiescence-relevant transitions
-	qWaiters    int    // guarded-by: mu
+	parked      []bool       // guarded-by: mu — worker currently parked on its workerCond
+	slot        []assignment // guarded-by: mu — work dispatched to a worker, not yet picked up
+	parkedCount int          // guarded-by: mu
+	qGen        uint64       // guarded-by: mu — bumped on quiescence-relevant transitions
+	qWaiters    int          // guarded-by: mu
 
 	tracker       *hazard.Tracker
 	live          map[int]*Task // guarded-by: mu — unfinished tasks by id
@@ -98,14 +113,17 @@ type Engine struct {
 	outstanding   int           // guarded-by: mu
 	launching     int           // guarded-by: mu — popped from ready but not yet Launched()
 	completing    int           // guarded-by: mu — announced Completing() but successors not yet released
-	transition    int           // guarded-by: mu — workers between finishing a task and their next decision
 	inserting     bool          // guarded-by: mu
+	spaceWait     bool          // guarded-by: mu — the inserter waits for window space
+	spaceServe    bool          // guarded-by: mu — the master runs a task while its window is full
 	masterServing bool          // guarded-by: mu — master is inside a participating Barrier
 	activeW       []bool        // guarded-by: mu — worker currently occupied by a task
 	current       []*Task       // guarded-by: mu — in-flight task per worker (diagnostics)
 	deadW         []bool        // guarded-by: mu — worker disabled by DisableWorker
 	idle          int           // guarded-by: mu
 	seq           int           // guarded-by: mu
+	dispatched    uint64        // guarded-by: mu — tasks handed to workers so far
+	virtual       bool          // guarded-by: mu — driven by the simulation library (UseVirtualTime)
 	shutdown      bool          // guarded-by: mu
 	aborted       bool          // guarded-by: mu
 	abortErr      error         // guarded-by: mu
@@ -114,7 +132,7 @@ type Engine struct {
 	stats         Stats         // guarded-by: mu
 	wg            sync.WaitGroup
 	freeScratch   []int // guarded-by: mu — reusable buffer for freeWorkersLocked
-	wakeHint      wakeHinter
+	onDone        completionAware
 }
 
 // maxRecordedErrors bounds the TaskError list kept for Err/Errs; failures
@@ -166,8 +184,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.current = make([]*Task, cfg.Workers)
 	e.deadW = make([]bool, cfg.Workers)
 	e.parked = make([]bool, cfg.Workers)
+	e.slot = make([]assignment, cfg.Workers)
+	e.onDone, _ = cfg.Policy.(completionAware)
 	e.freeScratch = make([]int, 0, cfg.Workers)
-	e.wakeHint, _ = cfg.Policy.(wakeHinter)
 	first := 0
 	if cfg.MasterParticipates {
 		first = 1 // worker 0 is the master goroutine, joining at Barrier
@@ -193,6 +212,17 @@ func (e *Engine) SetRetryPolicy(maxRetries int, backoff time.Duration) {
 // SetSelf installs the wrapping Runtime exposed to tasks via Ctx.Runtime
 // and used by the simulation library's quiescence check.
 func (e *Engine) SetSelf(r Runtime) { e.self = r }
+
+// UseVirtualTime marks the engine as driven by the simulation library on a
+// virtual clock; core.NewSimulator calls it. From then on a stream of
+// insertions takes no virtual time: its ready tasks are dispatched
+// together when the stream pauses, instead of one by one as they are
+// inserted. Call before inserting tasks.
+func (e *Engine) UseVirtualTime() {
+	e.mu.Lock()
+	e.virtual = true
+	e.mu.Unlock()
+}
 
 // SetPerf attaches contention counters to the engine's hot paths. Call
 // before inserting tasks; it is not synchronized with execution.
@@ -234,9 +264,9 @@ func (e *Engine) wakeWorker(w int) {
 	e.workerCond[w].Signal()
 }
 
-// wakeAllWorkers unparks every parked worker: the collective paths (gang
-// formation, barrier, shutdown, abort, dead-core remap) where more than
-// one worker may need to react. Caller holds e.mu.
+// wakeAllWorkers unparks every parked worker: the collective paths
+// (shutdown, abort, the final drain) where more than one worker may need
+// to react. Caller holds e.mu.
 func (e *Engine) wakeAllWorkers() {
 	if e.parkedCount == 0 {
 		return
@@ -251,41 +281,105 @@ func (e *Engine) wakeAllWorkers() {
 	}
 }
 
-// wakeForReady wakes at most one parked worker able to claim the freshly
-// pushed task t. Caller holds e.mu. Policies that bind tasks to a worker
-// steer the wakeup (see wakeHinter); with no parked eligible worker the
-// wakeup is skipped entirely — every busy worker re-polls the policy
-// before parking, so the task cannot be lost.
-func (e *Engine) wakeForReady(t *Task) {
-	if e.parkedCount == 0 {
+// dispatchLocked hands ready work to free workers. Caller holds e.mu.
+// Worker first (the one whose completion triggered the dispatch, or -1) is
+// visited first — it keeps running, as a real worker thread goes straight
+// to its next task — then the other free workers in index order. Each
+// first joins a gang still forming, otherwise pops from the policy, and a
+// worker that gets work is marked occupied and woken. A popped task counts
+// as launching from this moment until it registers in the Task Execution
+// Queue, so the quiescence query holds the virtual clock still across the
+// handoff.
+//
+// On virtual time (UseVirtualTime) nothing is dispatched while the master
+// streams insertions: on the paper's hardware insertion is orders of
+// magnitude faster than a task's simulated turnaround, so every task
+// inserted in one stream is ready before any worker decides (the same
+// assumption that holds completions back; see Insert). Barrier and a full
+// window pause the stream and dispatch.
+func (e *Engine) dispatchLocked(first int) {
+	if e.inserting && e.virtual {
 		return
 	}
-	target, exclusive := -1, false
-	if e.wakeHint != nil {
-		target, exclusive = e.wakeHint.WakeTarget(t)
+	if first >= 0 {
+		e.dispatchTo(first)
 	}
-	if target >= 0 && target < e.cfg.Workers && e.parked[target] &&
-		!e.deadW[target] && t.Where.Allows(e.cfg.Kinds[target]) {
-		e.wakeWorker(target)
+	for w := 0; w < e.cfg.Workers; w++ {
+		if w != first {
+			e.dispatchTo(w)
+		}
+	}
+}
+
+// dispatchTo hands worker w its next unit of work if it is free and any is
+// available. Caller holds e.mu.
+func (e *Engine) dispatchTo(w int) {
+	if !e.freeLocked(w) {
+		return
+	}
+	if g := e.pendingGang; g != nil {
+		e.joinGangLocked(g, w)
+		return
+	}
+	t := e.cfg.Policy.Pop(w, e.cfg.Kinds[w])
+	if t == nil {
+		return
+	}
+	e.launching++
+	t.dispatch = e.dispatched
+	e.dispatched++
+	if t.NumThreads > 1 {
+		// Poison (an ancestor failed) and abort are decided here for the
+		// whole gang: every predecessor completed before t became ready,
+		// so the flag is final.
+		g := &gang{task: t, needed: t.NumThreads, skip: t.poisoned || e.aborted}
+		if g.skip {
+			e.stats.TasksSkipped++
+		}
+		e.pendingGang = g
+		e.joinGangLocked(g, w)
+		return
+	}
+	e.assignLocked(w, assignment{task: t})
+}
+
+// joinGangLocked makes free worker w the next member of gang g.
+// Caller holds e.mu. The gang stops forming once it has all its members;
+// they start together (runAssigned waits for the fill).
+func (e *Engine) joinGangLocked(g *gang, w int) {
+	rank := g.joined
+	g.joined++
+	g.workers = append(g.workers, w)
+	e.assignLocked(w, assignment{task: g.task, gang: g, rank: rank})
+	if g.joined == g.needed {
+		e.pendingGang = nil
+		e.gangCond.Broadcast() //simlint:allow wakeup — gang fill completes: all members start together
+	}
+}
+
+// assignLocked hands a to worker w and wakes it. Caller holds e.mu.
+func (e *Engine) assignLocked(w int, a assignment) {
+	e.slot[w] = a
+	e.activeW[w] = true
+	e.current[w] = a.task
+	if e.parked[w] {
+		e.wakeWorker(w)
 		if e.perf != nil {
 			e.perf.TargetedWakeups.Add(1)
 		}
-		return
 	}
-	if exclusive {
-		// Only the bound worker's Pop can return t; it is busy and will
-		// drain its own queue at its next scheduling decision.
-		return
+}
+
+// freeLocked reports whether worker w can be handed work: not occupied,
+// not dead, and — for the master slot of a participating engine — inside
+// Barrier or a full-window wait. Caller holds e.mu. A free worker need not
+// have been scheduled by the host yet: a free virtual core is free
+// regardless of host scheduling.
+func (e *Engine) freeLocked(w int) bool {
+	if e.activeW[w] || e.deadW[w] {
+		return false
 	}
-	for w := 0; w < e.cfg.Workers; w++ {
-		if e.parked[w] && !e.deadW[w] && t.Where.Allows(e.cfg.Kinds[w]) {
-			e.wakeWorker(w)
-			if e.perf != nil {
-				e.perf.TargetedWakeups.Add(1)
-			}
-			return
-		}
-	}
+	return w != 0 || !e.cfg.MasterParticipates || e.masterServing
 }
 
 // kickQuiescence wakes parked quiescence waiters (simulator front tasks in
@@ -304,8 +398,8 @@ func (e *Engine) kickQuiescence() {
 
 // QuiescentWait reports quiescence like Quiescent, but when the engine is
 // not quiescent it first parks until a bookkeeping transition (a task's
-// Launched/Completing settling, a worker finishing its scheduling
-// decision, insertion pausing) or an abort — the simulation library's
+// Launched/Completing settling, a completion's dispatch, insertion
+// pausing) or an abort — the simulation library's
 // alternative to spinning on Quiescent. The returned value is the state
 // observed after waking; callers re-check their own conditions anyway.
 func (e *Engine) QuiescentWait() bool {
@@ -372,14 +466,20 @@ func (e *Engine) Insert(t *Task) error {
 			// QUARK behavior: the master executes tasks while its
 			// unrolling window is full. Without this, a one-worker
 			// configuration would deadlock (the master is the only
-			// executor).
+			// executor). The master slot is free only while it offers
+			// itself here, not while it waits for window space.
 			e.masterServing = true
-			if !e.serveOne(0) {
-				e.spaceCond.Wait()
-			}
+			e.spaceServe = true
+			e.dispatchLocked(-1)
+			ran := e.runAssigned(0)
+			e.spaceServe = false
 			e.masterServing = false
+			if !ran {
+				e.waitSpace()
+			}
 		} else {
-			e.spaceCond.Wait()
+			e.dispatchLocked(-1)
+			e.waitSpace()
 		}
 		e.inserting = true
 	}
@@ -432,14 +532,24 @@ func (e *Engine) Insert(t *Task) error {
 	}
 	if t.waitCount == 0 {
 		e.pushReady(t, -1)
+		e.dispatchLocked(-1)
 	}
 	e.mu.Unlock()
 	timer()
 	return nil
 }
 
-// pushReady makes t available to workers. Caller holds e.mu. by is the
-// worker whose completion released t, or -1 for direct insertion.
+// waitSpace blocks the inserter until a completion frees window space.
+// Caller holds e.mu.
+func (e *Engine) waitSpace() {
+	e.spaceWait = true
+	e.spaceCond.Wait()
+	e.spaceWait = false
+}
+
+// pushReady makes t available to workers; the caller dispatches it.
+// Caller holds e.mu. by is the worker whose completion released t, or -1
+// for direct insertion.
 func (e *Engine) pushReady(t *Task, by int) {
 	// Data-locality affinity: prefer the worker that last wrote the
 	// task's first read operand (QUARK-style cache affinity).
@@ -460,21 +570,23 @@ func (e *Engine) pushReady(t *Task, by int) {
 	if l := e.cfg.Policy.Len(); l > e.stats.MaxReadyLen {
 		e.stats.MaxReadyLen = l
 	}
-	// Targeted wakeup: at most one parked worker able to claim t. The old
-	// broadcast woke every idle worker per pushed task; all but one found
-	// nothing and parked again (thundering herd).
-	e.wakeForReady(t)
 }
 
-// complete finishes bookkeeping after t's function returned on worker w.
-// It leaves e.transition incremented: the caller is about to make its next
-// scheduling decision and must decrement it under e.mu (serveOne does).
-func (e *Engine) complete(t *Task, w int, ctx *Ctx) {
+// complete finishes bookkeeping after t's function returned on worker w
+// (rank 0 of gang g, when g is non-nil): it releases t's successors, frees
+// the worker — every member, for a gang — and dispatches, all under one
+// hold of e.mu. The freed worker's next task is therefore decided at the
+// completion's place in virtual-time order, with no window in which
+// another completion could advance the clock first.
+func (e *Engine) complete(t *Task, w int, g *gang, ctx *Ctx) {
 	e.mu.Lock()
 	e.stats.TasksCompleted++
 	e.stats.TasksPerWorker[w]++
 	e.outstanding--
 	delete(e.live, t.id)
+	if e.onDone != nil {
+		e.onDone.Done(t, w)
+	}
 	for _, a := range t.Args {
 		if a.Mode&hazard.Write != 0 {
 			e.owner[a.Handle] = w
@@ -493,18 +605,39 @@ func (e *Engine) complete(t *Task, w int, ctx *Ctx) {
 		}
 	}
 	t.succs = nil
-	e.transition++
 	if ctx != nil && ctx.completing {
 		e.completing--
 	}
+	if g != nil {
+		for _, m := range g.workers {
+			e.freeWorker(m)
+		}
+	} else {
+		e.freeWorker(w)
+	}
 	if e.cfg.Window > 0 {
+		if e.outstanding < e.cfg.Window && (e.spaceWait || (w == 0 && e.spaceServe)) {
+			// The stream resumes at this completion: the master goes back
+			// to inserting, and the clock holds from here, not from
+			// whenever the inserter's goroutine next runs.
+			e.inserting = true
+			e.masterServing = false
+		}
 		e.spaceCond.Signal()
 	}
+	e.dispatchLocked(w)
 	if e.outstanding == 0 {
 		e.doneCond.Broadcast() //simlint:allow wakeup — outstanding==0 drain releases every Barrier waiter
 		e.wakeAllWorkers()
 	}
+	e.kickQuiescence()
 	e.mu.Unlock()
+}
+
+// freeWorker clears worker w's in-flight state. Caller holds e.mu.
+func (e *Engine) freeWorker(w int) {
+	e.activeW[w] = false
+	e.current[w] = nil
 }
 
 // invoke runs one attempt of t's body on ctx, converting a kernel panic
@@ -607,8 +740,8 @@ func (e *Engine) putCtx(ctx *Ctx) {
 // runTask executes a (non-gang) task on worker w: panic-safe invocation,
 // bounded retries for recovered failures, and skip-through for tasks whose
 // ancestors failed permanently. skip is the task's poison state observed
-// under e.mu at pop time (all predecessors have completed by then, so it
-// is final).
+// under e.mu at pickup time (all predecessors have completed by then, so
+// it is final).
 func (e *Engine) runTask(t *Task, w int, skip bool) {
 	if skip {
 		ctx := e.getCtx(w, t, 1)
@@ -616,7 +749,7 @@ func (e *Engine) runTask(t *Task, w int, skip bool) {
 		e.mu.Lock()
 		e.stats.TasksSkipped++
 		e.mu.Unlock()
-		e.complete(t, w, ctx)
+		e.complete(t, w, nil, ctx)
 		e.putCtx(ctx)
 		return
 	}
@@ -626,7 +759,7 @@ func (e *Engine) runTask(t *Task, w int, skip bool) {
 		terr := e.invoke(ctx, t)
 		ctx.Launched() // idempotent: covers real (non-simulated) and panicked bodies
 		if terr == nil {
-			e.complete(t, w, ctx)
+			e.complete(t, w, nil, ctx)
 			e.putCtx(ctx)
 			return
 		}
@@ -636,16 +769,15 @@ func (e *Engine) runTask(t *Task, w int, skip bool) {
 		}
 		terr.Attempts = t.attempts
 		e.recordFailure(t, terr)
-		e.complete(t, w, ctx)
+		e.complete(t, w, nil, ctx)
 		e.putCtx(ctx)
 		return
 	}
 }
 
 // runGang executes a multi-threaded task body as one of its gang members
-// and performs the completion barrier. Only rank 0 completes the task.
-// Every member leaves with e.transition incremented (decremented by
-// serveOne at its next decision). Gang bodies are panic-safe but not
+// and performs the completion barrier. Only rank 0 completes the task,
+// which frees every member at once. Gang bodies are panic-safe but not
 // retried: a recovered panic records a *TaskError and poisons the
 // dependent subtree, and the gang barrier still completes so no member
 // wedges. Gang contexts are not pooled (members may observe them while
@@ -685,69 +817,22 @@ func (e *Engine) runGang(g *gang, w, rank int) {
 			e.gangCond.Wait()
 		}
 	}
-	if rank != 0 {
-		e.transition++ // rank 0's transition comes from complete()
-	}
 	e.mu.Unlock()
 	if rank == 0 {
-		e.complete(g.task, w, ctx)
+		e.complete(g.task, w, g, ctx)
 	}
 }
 
-// finishServe clears worker w's in-flight state after one unit of work and
-// wakes quiescence waiters: the transition window just closed, so the
-// engine may now be quiescent. Caller holds e.mu.
-func (e *Engine) finishServe(w int) {
-	e.transition--
-	e.activeW[w] = false
-	e.current[w] = nil
-	e.kickQuiescence()
-}
-
-// serveOne attempts to execute one unit of work on worker w.
-// Caller holds e.mu; serveOne returns with e.mu held and reports whether it
-// executed anything (false means the caller should wait). After executing,
-// it clears the transition mark set by complete()/runGang while still
-// holding e.mu, so quiescence observes no gap between finishing a task and
-// the worker's next scheduling decision.
-func (e *Engine) serveOne(w int) bool {
-	if g := e.pendingGang; g != nil {
-		rank := g.joined
-		g.joined++
-		e.activeW[w] = true
-		e.current[w] = g.task
-		if g.joined == g.needed {
-			e.pendingGang = nil
-			e.gangCond.Broadcast() //simlint:allow wakeup — gang fill completes: all members start together
-		} else {
-			for g.joined < g.needed && !e.aborted {
-				e.gangCond.Wait()
-			}
-		}
-		e.mu.Unlock()
-		e.runGang(g, w, rank)
-		e.mu.Lock()
-		e.finishServe(w)
-		return true
-	}
-	t := e.cfg.Policy.Pop(w, e.cfg.Kinds[w])
-	if t == nil {
+// runAssigned runs the work dispatched to worker w, if any.
+// Caller holds e.mu; runAssigned returns with e.mu held and reports whether
+// it ran anything (false means the caller should wait).
+func (e *Engine) runAssigned(w int) bool {
+	a := e.slot[w]
+	if a.task == nil {
 		return false
 	}
-	e.launching++
-	e.activeW[w] = true
-	e.current[w] = t
-	// Poison (an ancestor failed) and abort are both decided under e.mu
-	// here: all predecessors completed before t became ready, so the
-	// flag is final, and an aborted engine only drains bookkeeping.
-	skip := t.poisoned || e.aborted
-	if t.NumThreads > 1 {
-		g := &gang{task: t, needed: t.NumThreads, joined: 1, skip: skip}
-		if skip {
-			e.stats.TasksSkipped++
-		}
-		e.pendingGang = g
-		e.wakeAllWorkers() // wake idle workers to join the gang
+	e.slot[w] = assignment{}
+	if g := a.gang; g != nil {
 		for g.joined < g.needed && !e.aborted {
 			e.gangCond.Wait()
 		}
@@ -762,37 +847,35 @@ func (e *Engine) serveOne(w int) bool {
 			}
 		}
 		e.mu.Unlock()
-		e.runGang(g, w, 0)
+		e.runGang(g, w, a.rank)
 		e.mu.Lock()
-		e.finishServe(w)
 		return true
 	}
+	// Abort is decided here too: an aborted engine only drains
+	// bookkeeping.
+	skip := a.task.poisoned || e.aborted
 	e.mu.Unlock()
-	e.runTask(t, w, skip)
+	e.runTask(a.task, w, skip)
 	e.mu.Lock()
-	e.finishServe(w)
 	return true
 }
 
 // workerLoop is the body of a dedicated worker goroutine. A worker marked
-// dead by DisableWorker stops serving tasks but keeps parking on its
-// condition variable so Shutdown can still join it.
+// dead by DisableWorker finishes the work it was already handed, is never
+// handed more, and keeps parking on its condition variable so Shutdown can
+// still join it.
 func (e *Engine) workerLoop(w int) {
 	defer e.wg.Done()
 	e.mu.Lock()
 	woken := false
 	for {
+		if e.runAssigned(w) {
+			woken = false
+			continue
+		}
 		if e.shutdown && (e.outstanding == 0 || e.aborted) {
 			e.mu.Unlock()
 			return
-		}
-		if e.deadW[w] {
-			e.park(w)
-			continue
-		}
-		if e.serveOne(w) {
-			woken = false
-			continue
 		}
 		if woken && e.perf != nil {
 			e.perf.SpuriousWakeups.Add(1)
@@ -811,11 +894,13 @@ func (e *Engine) Barrier() {
 	e.mu.Lock()
 	e.inserting = false
 	e.kickQuiescence() // insertion paused: quiescence state changed
-	e.wakeAllWorkers()
 	if e.cfg.MasterParticipates {
 		e.masterServing = true
+	}
+	e.dispatchLocked(-1)
+	if e.cfg.MasterParticipates {
 		for e.outstanding > 0 && !e.aborted {
-			if !e.serveOne(0) {
+			if !e.runAssigned(0) {
 				e.idle++
 				e.park(0)
 				e.idle--
@@ -939,8 +1024,8 @@ func (e *Engine) DisableWorker(w int) error {
 			delete(e.owner, h)
 		}
 	}
-	e.wakeAllWorkers()
-	e.kickQuiescence() // the free-worker set changed
+	e.dispatchLocked(-1) // remapped tasks may now be claimable
+	e.kickQuiescence()   // the free-worker set changed
 	return nil
 }
 
@@ -952,8 +1037,6 @@ func (e *Engine) DisableWorker(w int) error {
 //     start at the current clock, so completions must not advance it
 //     past them);
 //   - no completed task is still releasing its successors (completing);
-//   - no worker is between finishing a task and its next scheduling
-//     decision (transition);
 //   - no task sits between the ready queue and its simulation-queue
 //     registration (launching); and
 //   - no ready task is waiting for a currently idle worker.
@@ -976,7 +1059,6 @@ func (e *Engine) quiescentLocked() bool {
 	}
 	return !e.inserting &&
 		e.completing == 0 &&
-		e.transition == 0 &&
 		launching == 0 &&
 		!e.cfg.Policy.Claimable(free, e.cfg.Kinds)
 }
@@ -990,13 +1072,9 @@ func (e *Engine) quiescentLocked() bool {
 func (e *Engine) freeWorkersLocked() []int {
 	free := e.freeScratch[:0]
 	for w := 0; w < e.cfg.Workers; w++ {
-		if e.activeW[w] || e.deadW[w] {
-			continue
+		if e.freeLocked(w) {
+			free = append(free, w)
 		}
-		if w == 0 && e.cfg.MasterParticipates && !e.masterServing {
-			continue
-		}
-		free = append(free, w)
 	}
 	e.freeScratch = free
 	return free

@@ -25,16 +25,10 @@ type Policy interface {
 // stealCounter is implemented by policies that steal work.
 type stealCounter interface{ Steals() int }
 
-// wakeHinter is implemented by policies that bind or prefer a specific
-// worker for a pushed task, letting the engine target its wakeup instead
-// of probing every parked worker. WakeTarget is called under the engine
-// mutex immediately after Push(t), and reports the preferred worker to
-// wake (-1 for no preference) plus whether the binding is exclusive —
-// only that worker's Pop can ever return t, so waking anyone else for it
-// would be useless.
-type wakeHinter interface {
-	WakeTarget(t *Task) (worker int, exclusive bool)
-}
+// completionAware is implemented by policies that account the work a
+// worker is running, not only the work queued for it: the engine reports
+// every task's completion on the worker that popped it.
+type completionAware interface{ Done(t *Task, w int) }
 
 // deadAware is implemented by policies that bind tasks to a specific
 // worker and therefore must react when a core dies (DisableWorker): the
@@ -202,16 +196,6 @@ func (p *LocalityPolicy) Len() int { return p.total }
 // Steals returns how many tasks were stolen from peers.
 func (p *LocalityPolicy) Steals() int { return p.steals }
 
-// WakeTarget implements wakeHinter: prefer the affinity worker's wakeup
-// (cache reuse), but the task is not bound to it — stealing makes it
-// reachable from anywhere, so the binding is not exclusive.
-func (p *LocalityPolicy) WakeTarget(t *Task) (int, bool) {
-	if t.affinity >= 0 && t.affinity < len(p.local) {
-		return t.affinity, false
-	}
-	return -1, false
-}
-
 func popAllowed(h *pq.Heap[*Task], kind WorkerKind) *Task {
 	var stash []*Task
 	var found *Task
@@ -238,11 +222,10 @@ func popAllowed(h *pq.Heap[*Task], kind WorkerKind) *Task {
 // tasks pushed onto the releasing worker's deque (LIFO for cache reuse),
 // idle workers steal the oldest task from the longest peer deque.
 type WorkStealingPolicy struct {
-	deques     [][]*Task
-	global     []*Task // tasks released by the master (no worker context)
-	total      int
-	steals     int
-	lastPlaced int // deque the most recent Push landed on (-1: global)
+	deques [][]*Task
+	global []*Task // tasks released by the master (no worker context)
+	total  int
+	steals int
 }
 
 // NewWorkStealingPolicy returns a work-stealing policy for n workers.
@@ -255,11 +238,9 @@ func (p *WorkStealingPolicy) Push(t *Task, by int) {
 	p.total++
 	if by >= 0 && by < len(p.deques) {
 		p.deques[by] = append(p.deques[by], t)
-		p.lastPlaced = by
 		return
 	}
 	p.global = append(p.global, t)
-	p.lastPlaced = -1
 }
 
 // Pop implements Policy: own deque bottom (LIFO), then the global queue
@@ -311,13 +292,6 @@ func (p *WorkStealingPolicy) Len() int { return p.total }
 // Steals returns how many tasks were stolen from peers.
 func (p *WorkStealingPolicy) Steals() int { return p.steals }
 
-// WakeTarget implements wakeHinter: prefer the deque the task landed on
-// (the releasing worker's — LIFO cache reuse), non-exclusive since idle
-// peers can steal it.
-func (p *WorkStealingPolicy) WakeTarget(t *Task) (int, bool) {
-	return p.lastPlaced, false
-}
-
 // --------------------------------------------------------------------- DM
 
 // CostModel estimates the expected duration of a task on a worker kind.
@@ -327,17 +301,19 @@ type CostModel func(class string, kind WorkerKind) float64
 
 // DMPolicy reproduces StarPU's dm scheduler: at release time each task is
 // dispatched to the worker with the minimum expected completion time
-// (current queued load plus the model estimate on that worker's kind).
+// (the worker's expected load plus the model estimate on its kind).
 // Workers only execute their own queue; the placement decision is the
-// scheduling decision.
+// scheduling decision. As in StarPU, a worker's expected load counts the
+// task it is running as well as its queue: a task's estimate leaves the
+// load when it completes (Done), not when it is popped, so placement never
+// depends on whether a worker has started its next task yet.
 type DMPolicy struct {
-	queues     [][]*Task
-	kinds      []WorkerKind
-	load       []float64
-	model      CostModel
-	total      int
-	dead       []bool
-	lastPlaced int // worker the most recent Push dispatched to
+	queues [][]*Task
+	kinds  []WorkerKind
+	load   []float64 // guarded by the engine mutex: queued plus running estimates
+	model  CostModel
+	total  int
+	dead   []bool
 }
 
 // NewDMPolicy returns a dm policy for workers of the given kinds.
@@ -381,34 +357,35 @@ func (p *DMPolicy) Push(t *Task, _ int) {
 	}
 	p.queues[best] = append(p.queues[best], t)
 	p.load[best] += p.model(t.Class, p.kinds[best])
-	p.lastPlaced = best
 	p.total++
 }
 
-// Pop implements Policy: strictly the worker's own queue.
-func (p *DMPolicy) Pop(w int, kind WorkerKind) *Task {
+// Pop implements Policy: strictly the worker's own queue. The task's
+// estimate stays in the worker's load until Done.
+func (p *DMPolicy) Pop(w int, _ WorkerKind) *Task {
 	if w < 0 || w >= len(p.queues) || len(p.queues[w]) == 0 {
 		return nil
 	}
 	t := p.queues[w][0]
 	p.queues[w] = p.queues[w][1:]
-	p.load[w] -= p.model(t.Class, kind)
-	if p.load[w] < 0 {
-		p.load[w] = 0
-	}
 	p.total--
 	return t
 }
 
+// Done implements completionAware: the completed task's estimate leaves
+// worker w's expected load.
+func (p *DMPolicy) Done(t *Task, w int) {
+	if w < 0 || w >= len(p.load) {
+		return
+	}
+	p.load[w] -= p.model(t.Class, p.kinds[w])
+	if p.load[w] < 0 {
+		p.load[w] = 0
+	}
+}
+
 // Len implements Policy.
 func (p *DMPolicy) Len() int { return p.total }
-
-// WakeTarget implements wakeHinter: a dm task is bound to the worker the
-// placement decision dispatched it to — only that worker's Pop returns it,
-// so the binding is exclusive and no other worker is worth waking.
-func (p *DMPolicy) WakeTarget(t *Task) (int, bool) {
-	return p.lastPlaced, true
-}
 
 // SetWorkerDead implements deadAware: re-places every task queued on the
 // dead worker onto the surviving ones and clears its load account.

@@ -110,10 +110,11 @@ type Task struct {
 	id        int
 	waitCount int
 	succs     []*Task
-	affinity  int  // preferred worker (data locality), -1 if none
-	seq       int  // ready-queue FIFO tiebreak
-	attempts  int  // body invocations so far (retry accounting)
-	poisoned  bool // an ancestor failed permanently: skip the body
+	affinity  int    // preferred worker (data locality), -1 if none
+	seq       int    // ready-queue FIFO tiebreak
+	dispatch  uint64 // position in the engine's dispatch order
+	attempts  int    // body invocations so far (retry accounting)
+	poisoned  bool   // an ancestor failed permanently: skip the body
 	gang      *gang
 }
 
@@ -123,6 +124,13 @@ func (t *Task) ID() int { return t.id }
 // Affinity returns the preferred worker assigned by locality-aware
 // policies, or -1.
 func (t *Task) Affinity() int { return t.affinity }
+
+// DispatchOrder returns the task's position in the order the engine handed
+// tasks to workers. The engine dispatches under its lock at insertions and
+// virtual-time completions only, so the order does not depend on how the
+// host schedules worker goroutines; the simulation library breaks ties
+// between equal simulated completion times with it.
+func (t *Task) DispatchOrder() uint64 { return t.dispatch }
 
 // Ctx is passed to an executing task function.
 type Ctx struct {

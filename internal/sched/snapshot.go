@@ -35,7 +35,6 @@ type Snapshot struct {
 	// The extended quiescence accounting (see Quiescent).
 	Launching  int
 	Completing int
-	Transition int
 	Idle       int
 	Inserting  bool
 	// Lifecycle flags.
@@ -76,7 +75,6 @@ func (e *Engine) Snapshot() Snapshot {
 		Ready:         e.cfg.Policy.Len(),
 		Launching:     e.launching,
 		Completing:    e.completing,
-		Transition:    e.transition,
 		Idle:          e.idle,
 		Inserting:     e.inserting,
 		MasterServing: e.masterServing,
@@ -126,8 +124,8 @@ func (s Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine %q: outstanding=%d ready=%d inserted=%d completed=%d failed=%d skipped=%d retried=%d\n",
 		s.Name, s.Outstanding, s.Ready, s.Inserted, s.Completed, s.Failed, s.Skipped, s.Retried)
-	fmt.Fprintf(&b, "quiescence accounting: inserting=%v launching=%d completing=%d transition=%d idle=%d masterServing=%v shutdown=%v aborted=%v\n",
-		s.Inserting, s.Launching, s.Completing, s.Transition, s.Idle, s.MasterServing, s.Shutdown, s.Aborted)
+	fmt.Fprintf(&b, "quiescence accounting: inserting=%v launching=%d completing=%d idle=%d masterServing=%v shutdown=%v aborted=%v\n",
+		s.Inserting, s.Launching, s.Completing, s.Idle, s.MasterServing, s.Shutdown, s.Aborted)
 	if s.PendingGang != "" {
 		fmt.Fprintf(&b, "pending gang: %s\n", s.PendingGang)
 	}

@@ -70,11 +70,10 @@ type JobSpec struct {
 	// coordinator recomputes them (and the fingerprint) after merging.
 	RepOffset int `json:"rep_offset,omitempty"`
 	RepStride int `json:"rep_stride,omitempty"`
-	// Parallelism selects the replay executor on the cached and sweep
-	// paths (replay.Options.Parallelism): 0 (default) replays with the
-	// serial greedy executor; >= 1 uses the PDES executor, whose results
-	// are identical for every value >= 1 but follow the static PDES
-	// schedule, not the greedy one. Direct (non-cached) runs ignore it.
+	// Parallelism is a removed field, kept for one release so that specs
+	// setting it are refused rather than silently replayed on the one
+	// remaining executor: any nonzero value fails validation with
+	// parallelismRemoved.
 	Parallelism int `json:"parallelism,omitempty"`
 	// NoCache forces the direct path even for cache-eligible jobs.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -123,6 +122,12 @@ func buildModel(spec *ModelSpec) core.DurationModel {
 	}
 	return classModel{classes: spec.Classes, fixed: fixed}
 }
+
+// parallelismRemoved refuses the parallelism field: the replay executor
+// it selected is gone, and a spec asking for it must not get a different
+// schedule without being told.
+const parallelismRemoved = "parallelism is no longer accepted (got %d): the PDES replay executor it selected was removed " +
+	"and every replay runs the serial greedy executor (DESIGN.md §12); drop the field"
 
 // validate normalizes the spec in place and reports the first problem.
 func (s *JobSpec) validate() error {
@@ -180,8 +185,8 @@ func (s *JobSpec) validate() error {
 	if s.Reps < 1 || s.Reps > 1000 {
 		return fmt.Errorf("reps must be in [1, 1000] (got %d)", s.Reps)
 	}
-	if s.Parallelism < 0 || s.Parallelism > 1024 {
-		return fmt.Errorf("parallelism must be in [0, 1024] (got %d)", s.Parallelism)
+	if s.Parallelism != 0 {
+		return fmt.Errorf(parallelismRemoved, s.Parallelism)
 	}
 	switch s.Wait {
 	case "", "quiescence", "sleep-yield", "none":

@@ -43,13 +43,12 @@ func (s *Server) runSweep(ctx context.Context, spec *JobSpec) (*JobResult, error
 		return nil, fmt.Errorf("deadline expired before sweep started: %w", err)
 	}
 	points, _, err := bench.SweepParallel(spec.Scheduler, spec.Algorithm, spec.NB, spec.MaxNT, spec.Workers, bench.SweepOptions{
-		Reps:        spec.Reps,
-		Shards:      spec.Shards,
-		Model:       buildModel(spec.Model),
-		Seed:        spec.Seed,
-		Parallelism: spec.Parallelism,
-		RepOffset:   spec.RepOffset,
-		RepStride:   spec.RepStride,
+		Reps:      spec.Reps,
+		Shards:    spec.Shards,
+		Model:     buildModel(spec.Model),
+		Seed:      spec.Seed,
+		RepOffset: spec.RepOffset,
+		RepStride: spec.RepStride,
 	})
 	if err != nil {
 		return nil, err
@@ -77,8 +76,10 @@ func (s *Server) runSweep(ctx context.Context, spec *JobSpec) (*JobResult, error
 //   - cached (replay) jobs hash the full rep-0 trace (trace.Fingerprint):
 //     replay is bit-identical, so the whole schedule is the identity;
 //   - direct jobs hash the makespans vector: the real scheduler's virtual
-//     makespans are deterministic, but its task→worker assignment (and so
-//     the trace's event layout) legitimately races;
+//     schedule is deterministic on any number of host cores (sched.Engine
+//     dispatches in worker-index order and the Task Execution Queue breaks
+//     ties by dispatch order), and the makespans are what a direct job
+//     reports;
 //   - sweep jobs hash the whole curve (NT and makespans per point).
 const (
 	fnvOffset64 = 14695981039346656037
@@ -165,7 +166,6 @@ func (s *Server) runCached(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 			Seed:             bench.ReplicaSeed(spec.Seed, spec.NT, rep),
 			IgnorePriorities: fifo,
 			Label:            job.ID,
-			Parallelism:      spec.Parallelism,
 		})
 		if err != nil {
 			return nil, nil, disposition, fmt.Errorf("replay rep %d: %w", rep, err)
@@ -222,8 +222,8 @@ func (s *Server) runDirect(ctx context.Context, job *Job) (*JobResult, *trace.Tr
 	}
 	finishMakespans(res)
 	// Direct runs fingerprint the makespans vector, not the trace: the
-	// real scheduler's task→worker assignment legitimately races, but its
-	// virtual makespans are deterministic.
+	// makespans are what a direct job reports, and they are deterministic
+	// because the real scheduler's virtual schedule is.
 	res.Fingerprint = makespanFingerprint(res.Makespans)
 	return res, kept, nil
 }

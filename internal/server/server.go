@@ -139,7 +139,7 @@ type Server struct {
 	queue        *drrQueue
 	tenants      []*tenant
 	tenantsByKey map[string]*tenant
-	anonTenant   *tenant // tenant with no key; nil when every tenant requires one
+	anonTenant   *tenant        // tenant with no key; nil when every tenant requires one
 	store        *store         // nil without DataDir
 	baselines    *baselineStore // nil without DataDir — cron regression baselines
 	cron         *cronRunner
@@ -181,7 +181,7 @@ func New(cfg Config) (*Server, error) {
 		counters:     &perf.Counters{},
 		jobs:         make(map[string]*Job),
 		retries:      make(map[string]*time.Timer),
-		start:        time.Now(), //simlint:allow vclock — service uptime, not simulated time
+		start:        time.Now(),                             //simlint:allow vclock — service uptime, not simulated time
 		jitter:       rng.New(uint64(time.Now().UnixNano())), //simlint:allow vclock — jitter seed
 	}
 	for _, t := range tenants {
@@ -267,7 +267,19 @@ func (s *Server) recover() error {
 			s.restored++
 		default:
 			// Acknowledged but unfinished at crash/drain time: re-queue and
-			// re-run exactly once.
+			// re-run exactly once — unless the spec no longer validates (a
+			// journal written by an older release), in which case the job
+			// fails with the admission error rather than running under
+			// semantics it was not submitted with.
+			if err := job.Spec.validate(); err != nil {
+				job.status = StatusFailed
+				job.err = fmt.Sprintf("server: invalid job spec: %v", err)
+				s.remember(job)
+				s.metrics.failed.Add(1)
+				t.m.failed.Add(1)
+				s.restored++
+				continue
+			}
 			job.status = StatusQueued
 			s.remember(job)
 			if err := s.queue.push(t, job); err != nil {
@@ -297,7 +309,8 @@ func idSeq(id, prefix string) (uint64, bool) {
 }
 
 // Recovered reports how many acknowledged jobs recovery re-queued and how
-// many finished jobs it restored at startup.
+// many finished jobs it restored at startup (journaled jobs whose spec no
+// longer validates are restored as failed).
 func (s *Server) Recovered() (requeued, restored int) { return s.recovered, s.restored }
 
 // Handler returns the service's HTTP handler (mount it on any mux or

@@ -148,8 +148,9 @@ func TestSubmitValidation(t *testing.T) {
 		`{not json`,
 		`{"algorithm": "cholesky", "nt": 4, "bogus_field": 1}`,
 		`{"algorithm": "magma", "nt": 4}`,
-		`{"algorithm": "cholesky"}`, // nt missing
-		`{"kind": "sweep", "algorithm": "cholesky"}`, // max_nt missing
+		`{"algorithm": "cholesky"}`,                            // nt missing
+		`{"kind": "sweep", "algorithm": "cholesky"}`,           // max_nt missing
+		`{"algorithm": "cholesky", "nt": 4, "parallelism": 2}`, // removed field
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -232,62 +233,27 @@ func TestCacheHitServesFaster(t *testing.T) {
 	}
 }
 
-// TestCachedParallelReplayDeterministic drives the PDES executor through
-// the service path: once a spec's DAG is captured, repeat jobs that ask
-// for parallelism >= 1 replay on the partitioned executor, and the result
-// fingerprint must be identical for every parallelism degree (the
-// partition-invariance guarantee of DESIGN.md §12, observed end to end
-// through the cache).
-func TestCachedParallelReplayDeterministic(t *testing.T) {
-	srv := newTestServer(t, Config{Pool: 2})
-	spec := JobSpec{Algorithm: "cholesky", NT: 10, NB: 8, Workers: 8, Seed: 5}
-
-	first, err := srv.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitFinished(t, first, 30*time.Second); st != StatusDone {
-		t.Fatalf("capture job %s: %s", st, first.view().Error)
-	}
-	if v := first.view(); v.Cache != "miss" {
-		t.Fatalf("first job cache disposition %q, want miss", v.Cache)
-	}
-
-	fingerprints := make(map[int]string)
-	for _, p := range []int{1, 2, 4} {
-		for rep := 0; rep < 2; rep++ {
-			ps := spec
-			ps.Parallelism = p
-			job, err := srv.Submit(ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := waitFinished(t, job, 30*time.Second); st != StatusDone {
-				t.Fatalf("parallelism=%d job %s: %s", p, st, job.view().Error)
-			}
-			v := job.view()
-			if v.Cache != "hit" {
-				t.Fatalf("parallelism=%d job cache disposition %q, want hit", p, v.Cache)
-			}
-			if v.Result == nil || v.Result.Fingerprint == "" {
-				t.Fatalf("parallelism=%d job has no fingerprint: %+v", p, v.Result)
-			}
-			if prev, ok := fingerprints[p]; ok && prev != v.Result.Fingerprint {
-				t.Fatalf("parallelism=%d not deterministic: %s then %s", p, prev, v.Result.Fingerprint)
-			}
-			fingerprints[p] = v.Result.Fingerprint
-		}
-	}
-	if fingerprints[2] != fingerprints[1] || fingerprints[4] != fingerprints[1] {
-		t.Fatalf("fingerprints differ across parallelism degrees: %v", fingerprints)
-	}
-
-	for _, p := range []int{-1, 2000} {
+// TestParallelismRejected pins the removal of the parallelism field: any
+// nonzero value is refused at admission, naming the removal, and nothing
+// is queued.
+func TestParallelismRejected(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	spec := JobSpec{Algorithm: "cholesky", NT: 4, NB: 8, Workers: 4, Seed: 5}
+	for _, p := range []int{1, 4, -1, 2000} {
 		bad := spec
 		bad.Parallelism = p
-		if _, err := srv.Submit(bad); err == nil {
+		_, err := srv.Submit(bad)
+		if err == nil {
 			t.Fatalf("parallelism=%d accepted, want validation error", p)
 		}
+		for _, want := range []string{"parallelism is no longer accepted", "DESIGN.md §12"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("parallelism=%d: error %q lacks %q", p, err, want)
+			}
+		}
+	}
+	if m := srv.Metrics(); m.Jobs.Submitted != 0 {
+		t.Fatalf("rejected specs were admitted: %+v", m.Jobs)
 	}
 }
 

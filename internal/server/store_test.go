@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -243,13 +244,58 @@ func TestDrainRequeuesIntoJournal(t *testing.T) {
 		t.Fatalf("in-flight job finished %q, want done", st)
 	}
 
+	// A journal written before the parallelism field was removed may hold
+	// an acknowledged job and a cron template that set it. Recovery must
+	// fail the job with the admission error, and the template's firings
+	// must be refused: neither may run on the remaining executor.
+	legacy := JobSpec{Algorithm: "cholesky", NT: 4, NB: 8, Workers: 4, Seed: 12, Parallelism: 2}
+	st, _, err := openStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyJob := &Job{ID: "j-000100", Spec: legacy}
+	if err := st.accept(legacyJob); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.cron(CronSpec{ID: "c-000100", EveryMS: 10, Spec: legacy}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.close(); err != nil {
+		t.Fatal(err)
+	}
+
 	srv2, err := New(Config{Pool: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdownNow(t, srv2)
-	if requeued, restored := srv2.Recovered(); requeued != 2 || restored != 1 {
-		t.Fatalf("recovery found %d requeued / %d restored, want 2 / 1", requeued, restored)
+	if requeued, restored := srv2.Recovered(); requeued != 2 || restored != 2 {
+		t.Fatalf("recovery found %d requeued / %d restored, want 2 / 2", requeued, restored)
+	}
+	if job, ok := srv2.Job(legacyJob.ID); !ok {
+		t.Fatalf("journaled job %s lost across restart", legacyJob.ID)
+	} else if v := job.view(); v.Status != StatusFailed || !strings.Contains(v.Error, "DESIGN.md §12") || v.Result != nil {
+		t.Fatalf("journaled parallelism job: status=%q error=%q result=%+v, want failed naming the removal",
+			v.Status, v.Error, v.Result)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		crons := srv2.Crons()
+		if len(crons) != 1 {
+			t.Fatalf("recovered %d cron templates, want 1", len(crons))
+		}
+		if c := crons[0]; c.Fired != 0 {
+			t.Fatalf("parallelism cron template fired %d jobs, want every firing refused", c.Fired)
+		} else if c.Skipped > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("parallelism cron template never came due")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := srv2.RemoveCron("c-000100"); err != nil {
+		t.Fatal(err)
 	}
 	for _, id := range []string{q1.ID, q2.ID} {
 		job, ok := srv2.Job(id)

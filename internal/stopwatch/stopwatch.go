@@ -13,7 +13,10 @@
 // time directly.)
 package stopwatch
 
-import "time"
+import (
+	"runtime"
+	"time"
+)
 
 // Start begins timing a real computation and returns a function that
 // reports the wall-clock seconds elapsed since the call. Measured mode
@@ -21,6 +24,36 @@ import "time"
 func Start() func() float64 {
 	t0 := time.Now()
 	return func() float64 { return time.Since(t0).Seconds() }
+}
+
+// StartCPU begins timing a real computation by the CPU time of the calling
+// goroutine and returns a function that reports the CPU seconds consumed
+// since the call. Measured mode times kernel bodies with it: on the
+// paper's machine every worker owns a core, so a kernel's wall time is its
+// CPU time, while on a shared host the wall clock also counts the
+// intervals the thread spent descheduled — another process's time slice,
+// a preempted virtual CPU — and one such interval inflates a
+// tens-of-microseconds kernel a hundredfold.
+//
+// The goroutine is locked to its OS thread until the returned function is
+// called, so the thread's CPU clock is the goroutine's. Call the returned
+// function exactly once, on the same goroutine. Where the platform has no
+// thread CPU clock it measures wall time instead.
+func StartCPU() func() float64 {
+	runtime.LockOSThread()
+	t0, ok := threadCPUNanos()
+	if !ok {
+		runtime.UnlockOSThread()
+		return Start()
+	}
+	return func() float64 {
+		t1, ok := threadCPUNanos()
+		runtime.UnlockOSThread()
+		if !ok || t1 < t0 {
+			return 0
+		}
+		return float64(t1-t0) / 1e9
+	}
 }
 
 // Sleep pauses the calling goroutine for d of wall-clock time. The

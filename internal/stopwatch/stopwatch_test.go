@@ -27,3 +27,29 @@ func TestSleepSleepsRoughlyD(t *testing.T) {
 		t.Fatalf("Sleep(5ms) returned after %v s, want >= 0.002", got)
 	}
 }
+
+func TestStartCPUIgnoresDescheduledTime(t *testing.T) {
+	if _, ok := threadCPUNanos(); !ok {
+		t.Skip("no thread CPU clock on this platform: StartCPU measures wall time")
+	}
+	elapsed := StartCPU()
+	time.Sleep(20 * time.Millisecond) // off-CPU: must not count
+	if got := elapsed(); got > 0.010 {
+		t.Fatalf("StartCPU counted %v s across a 20ms sleep, want the CPU time only", got)
+	}
+}
+
+func TestStartCPUMeasuresBusyTime(t *testing.T) {
+	elapsed := StartCPU()
+	wall := Start()
+	x := 1.0
+	for wall() < 0.02 {
+		for i := 0; i < 1000; i++ {
+			x = x*1.0000001 + 1e-9
+		}
+	}
+	got := elapsed()
+	if got <= 0 || got > 5 {
+		t.Fatalf("StartCPU measured %v s for a 20ms busy loop (x=%g)", got, x)
+	}
+}
